@@ -109,17 +109,29 @@ impl ContextRw {
         let miner = PathMiner::new(self.config.mining.clone());
         let mined = miner.mine(graph, query);
         let filter = CandidateFilter::new(graph, query, self.config.type_filter);
-        let total_candidates = graph
-            .nodes()
-            .filter(|&n| !query.contains(n) && filter.allows(graph, n))
-            .count()
-            .max(1);
         // Small cohorts are always informative; the guard targets paths
         // whose endpoints blanket a large share of the population.
         const ENDPOINT_CAP_FLOOR: usize = 50;
-        let endpoint_cap = ((self.config.max_endpoint_fraction * total_candidates as f64).ceil()
-            as usize)
-            .max(ENDPOINT_CAP_FLOOR);
+        // The cap is `max(ceil(f · |candidates|), floor)`, so a metapath
+        // with at most `floor` eligible endpoints passes whatever the
+        // candidate count. Counting candidates scans every node of the
+        // graph; it runs at most once, and only when some metapath exceeds
+        // the floor.
+        let mut endpoint_cap: Option<usize> = None;
+        let mut within_cap = |endpoints: usize| {
+            endpoints <= ENDPOINT_CAP_FLOOR
+                || endpoints
+                    <= *endpoint_cap.get_or_insert_with(|| {
+                        let total_candidates = graph
+                            .nodes()
+                            .filter(|&n| !query.contains(n) && filter.allows(graph, n))
+                            .count()
+                            .max(1);
+                        ((self.config.max_endpoint_fraction * total_candidates as f64).ceil()
+                            as usize)
+                            .max(ENDPOINT_CAP_FLOOR)
+                    })
+        };
 
         // Pick the top |M| metapaths that have at least one eligible
         // endpoint and pass the selectivity guard, scanning at most
@@ -146,7 +158,7 @@ impl ContextRw {
                         .filter(|&&n| !query.contains(n) && filter.allows(graph, n)),
                 );
             }
-            if !eligible_endpoints.is_empty() && eligible_endpoints.len() <= endpoint_cap {
+            if !eligible_endpoints.is_empty() && within_cap(eligible_endpoints.len()) {
                 kept.push((*count, per_q));
             }
         }

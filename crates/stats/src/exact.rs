@@ -6,12 +6,17 @@
 //! Prs(X = x) = Σ_{y : Pr(X = y) ≤ Pr(X = x)} Pr(X = y)
 //! ```
 //!
-//! (§3.2). The outcome space of a multinomial with `k` categories and `N`
-//! trials has `C(N + k − 1, k − 1)` points; the enumeration below walks it
-//! recursively, carrying the partial log-probability so each leaf costs
-//! O(1). The driver in [`crate::test`] only dispatches here when the space
-//! is small enough (queries hold ≤ 10 nodes, so `N` is tiny; `k` is what
-//! blows up), otherwise it falls back to [`crate::monte_carlo`].
+//! (§3.2). The outcome space of a multinomial with `N` trials over the `s`
+//! categories of positive probability has `C(N + s − 1, N)` points; the
+//! enumeration below walks it depth-first, carrying the partial
+//! log-probability of the prefix. A branch ends as soon as its trials are
+//! spent: the categories it skips would each add `0 · ln πᵢ − ln 0! = ±0`,
+//! so the leaf value is the partial sum as it stands. The walk therefore
+//! takes one step per leaf (one `exp`, one add), `C(N + s − 1, N)` steps
+//! in all, and [`DEFAULT_MAX_OUTCOMES`] bounds the work. The driver in
+//! [`crate::test`] only dispatches here when the space is small enough
+//! (queries hold ≤ 10 nodes, so `N` is tiny; `s` is what blows up),
+//! otherwise it falls back to [`crate::monte_carlo`].
 
 use crate::error::StatsError;
 use crate::multinomial::Multinomial;
@@ -68,7 +73,8 @@ pub fn exact_significance(dist: &Multinomial, x: &[u64]) -> Result<f64, StatsErr
 ///
 /// `remaining` trials are distributed over `ln_probs[idx..]`; `partial` is
 /// the log-probability accumulated for categories before `idx` (including
-/// the `ln N!` term).
+/// the `ln N!` term). Leaves are visited in ascending lexicographic order
+/// of the outcome vector.
 fn enumerate(
     ln_probs: &[f64],
     idx: usize,
@@ -77,6 +83,14 @@ fn enumerate(
     threshold: f64,
     total: &mut f64,
 ) {
+    if remaining == 0 {
+        // Every category from `idx` on receives zero trials; each would add
+        // `0 · ln πᵢ − ln 0! = ±0`, which leaves `partial` unchanged.
+        if partial <= threshold {
+            *total += partial.exp();
+        }
+        return;
+    }
     if idx + 1 == ln_probs.len() {
         // Last category takes everything that remains.
         let y = remaining;
@@ -101,8 +115,9 @@ fn enumerate(
 
 /// Upper bound on outcome-space size for which the exact test is practical.
 ///
-/// `N ≤ 10` and small supports enumerate in microseconds; the default caps
-/// the enumeration at one million leaves (≈ a few milliseconds).
+/// The walk costs one step per leaf, so this caps the work of one exact
+/// test at one million leaves (a few milliseconds); `N ≤ 10` over small
+/// supports enumerates in microseconds.
 pub const DEFAULT_MAX_OUTCOMES: u64 = 1_000_000;
 
 #[cfg(test)]

@@ -12,9 +12,19 @@
 //! `(1 + #{ln Pr(y) ≤ ln Pr(x)}) / (1 + S)` recommended for Monte-Carlo
 //! p-values: it never reports an exact zero from sampling alone, keeping
 //! the false-positive rate of the downstream 0.05 cut-off honest.
+//!
+//! A sample touches at most `N` of the `k` categories, so it is scored
+//! sparsely: `ln πᵢ` is taken once per test, the `N` drawn category
+//! indices are sorted, and `ln N! + Σ (yᵢ ln πᵢ − ln yᵢ!)` is summed over
+//! the touched categories in ascending index order. That is the same
+//! sequence of floating-point operations [`Multinomial::ln_pmf`] performs
+//! on the dense outcome vector (it skips every `yᵢ = 0`), and the draws
+//! come from the same [`Multinomial::sample_category`] calls, so each
+//! sample costs O(N log N) instead of O(k) with a bit-identical result.
 
 use crate::error::StatsError;
 use crate::multinomial::Multinomial;
+use crate::special::ln_factorial;
 use rand::Rng;
 
 /// Log-space tolerance for counting ties, mirroring the exact test.
@@ -56,18 +66,42 @@ pub fn monte_carlo_significance<R: Rng + ?Sized>(
     }
     let threshold = ln_px + LN_TIE_TOLERANCE.max(ln_px.abs() * LN_TIE_TOLERANCE);
 
+    let ln_probs: Vec<f64> = dist.probs().iter().map(|&p| p.ln()).collect();
+    let ln_n_fact = ln_factorial(n);
+
     let mut hits: u64 = 0;
-    let mut buf = vec![0u64; dist.num_categories()];
+    let mut draws: Vec<usize> = Vec::new();
     for _ in 0..samples {
-        dist.sample_into(n, rng, &mut buf);
-        let ln_py = dist
-            .ln_pmf(&buf)
-            .expect("sampled outcome has matching length");
-        if ln_py <= threshold {
+        draws.clear();
+        draws.extend((0..n).map(|_| dist.sample_category(rng)));
+        draws.sort_unstable();
+        if ln_pmf_of_draws(&ln_probs, ln_n_fact, &draws) <= threshold {
             hits += 1;
         }
     }
     Ok((1.0 + hits as f64) / (1.0 + f64::from(samples)))
+}
+
+/// `ln Pr(Y = y)` for the outcome `y` whose trials fell on the sorted
+/// category indices `draws`, given `ln πᵢ` and `ln N!`.
+///
+/// Runs of equal indices are the non-zero `yᵢ`, visited in ascending index
+/// order, so the sum matches [`Multinomial::ln_pmf`] on the dense `y` bit
+/// for bit, including its early `−∞` for a category with `πᵢ = 0` (which
+/// the inverse-CDF sampler can still return at the edges: a draw of
+/// exactly 0 when `π₀ = 0`, or the tail guard that pins the last CDF
+/// entry to 1).
+fn ln_pmf_of_draws(ln_probs: &[f64], ln_n_fact: f64, draws: &[usize]) -> f64 {
+    let mut ln_p = ln_n_fact;
+    for run in draws.chunk_by(|a, b| a == b) {
+        let ln_pi = ln_probs[run[0]];
+        if ln_pi == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        let yi = run.len() as u64;
+        ln_p += yi as f64 * ln_pi - ln_factorial(yi);
+    }
+    ln_p
 }
 
 #[cfg(test)]
@@ -125,6 +159,34 @@ mod tests {
         let est = monte_carlo_significance(&d, &[0, 5], 1_000, &mut rng).unwrap();
         assert!(est > 0.0);
         assert!(est < 0.05);
+    }
+
+    #[test]
+    fn sparse_score_matches_dense_ln_pmf_bitwise() {
+        // Includes a zero-probability category, which the sampler reaches
+        // only at the edges of the inverse CDF but the scorer must still
+        // rank as impossible, like `ln_pmf`.
+        let d = mult(&[0.2, 0.0, 0.5, 0.3]);
+        let ln_probs: Vec<f64> = d.probs().iter().map(|&p| p.ln()).collect();
+        for draws in [
+            vec![0usize],
+            vec![0, 0, 2],
+            vec![0, 2, 2, 3, 3, 3],
+            vec![1],
+            vec![0, 1, 1, 3],
+        ] {
+            let mut dense = vec![0u64; 4];
+            for &i in &draws {
+                dense[i] += 1;
+            }
+            let n = draws.len() as u64;
+            let sparse = ln_pmf_of_draws(&ln_probs, ln_factorial(n), &draws);
+            assert_eq!(
+                sparse.to_bits(),
+                d.ln_pmf(&dense).unwrap().to_bits(),
+                "draws = {draws:?}"
+            );
+        }
     }
 
     #[test]
